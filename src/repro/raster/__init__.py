@@ -10,9 +10,12 @@ rendering strategies are provided:
   bit-identical pixels, but fully vectorised over the quad batch; the
   default implementation of the exact render mode
   (``SpotNoiseConfig.raster_backend``);
-* :func:`rasterize_quads_sampled` — a vectorised sample-and-splat
-  renderer that trades exact coverage for anti-aliased speed on the
-  paper's ~1.3-1.9 million bent-spot quadrilaterals per texture.
+* :func:`rasterize_quads_sampled` — a sample-and-splat renderer that
+  trades exact coverage for anti-aliased speed on the paper's ~1.3-1.9
+  million bent-spot quadrilaterals per texture; the default render mode.
+  Its body is a C kernel (``_splat.c``, built by the system ``cc`` on
+  first use and loaded through :mod:`repro.raster._native`), with a
+  numpy body producing the same bytes as fallback and test oracle.
 
 All accumulate into a :class:`FrameBuffer` using the additive blend that
 defines spot noise (``f(x) = sum a_i h(x - x_i)``).

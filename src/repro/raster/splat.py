@@ -1,9 +1,9 @@
-"""Vectorised sample-and-splat rendering for huge quad batches.
+"""Sample-and-splat rendering for huge quad batches.
 
 The bent-spot workloads of the paper push ~1.3-1.9 *million* textured
 quadrilaterals per texture through each graphics pipe.  A per-quad Python
-loop cannot sustain that, so this renderer trades exact coverage for full
-vectorisation:
+loop cannot sustain that, so this renderer trades exact coverage for a
+simple per-sample deposit:
 
 1. every quad is sampled on an ``s x s`` parametric lattice (bilinear
    patch interpolation of corners and texture coordinates, all quads at
@@ -16,8 +16,14 @@ The per-quad deposit therefore matches the exact rasteriser's total
 anti-aliased estimate; for the sub-pixel to few-pixel quads of bent-spot
 meshes the two renderers agree closely (tested in
 ``tests/raster/test_splat.py``).  Quads are processed in bounded-memory
-chunks, and deposits use ``np.bincount`` — the fastest scatter-add
-available in pure numpy.
+chunks.
+
+:func:`rasterize_quads_sampled` runs a C kernel (``_splat.c``, built and
+loaded by :mod:`repro.raster._native`) once per draw.  The numpy body,
+:func:`_rasterize_sampled_numpy` (deposits via ``np.bincount``), runs
+when no compiler is available and is the oracle the kernel is tested
+against: the kernel repeats its float operations in the same order, so
+both produce the same bytes (``tests/raster/test_splat_native.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import RasterError
+from repro.raster._native import splat_kernel
 from repro.raster.framebuffer import FrameBuffer
 from repro.raster.texture import Texture
 
@@ -195,7 +202,26 @@ def rasterize_quads_sampled(
         raise RasterError(f"chunk must be >= 1, got {chunk}")
     if q.shape[0] == 0:
         return 0
+    kernel = splat_kernel()
+    if kernel is not None and kernel.supports(fb, texture, samples_per_edge, chunk):
+        return kernel(fb, q, t, a, texture, samples_per_edge, chunk)
+    return _rasterize_sampled_numpy(fb, q, t, a, texture, samples_per_edge, chunk)
 
+
+def _rasterize_sampled_numpy(
+    fb: FrameBuffer,
+    q: np.ndarray,
+    t: np.ndarray,
+    a: np.ndarray,
+    texture: Optional[Texture],
+    samples_per_edge: int,
+    chunk: int,
+) -> int:
+    """The numpy body of :func:`rasterize_quads_sampled` (validated input).
+
+    Runs when the native kernel cannot be built, and is the oracle the
+    kernel is tested against byte for byte.
+    """
     # Drop non-finite quads outright (corrupted particle positions must
     # degrade gracefully, not poison the whole deposit with NaNs).
     finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(a)

@@ -208,14 +208,15 @@ class TextureService:
             self._plan_workload = workload_from_config(config, field0)
             # Feasibility is a pure function of geometry + config, so
             # the per-group answers can be memoised for re-planning
-            # without keeping frame 0 alive.
+            # without keeping frame 0 alive (or, by closing over self,
+            # the service itself).
             feasible = spatial_feasibility(config, field0)
-            self._spatial_ok_cache: Dict[int, bool] = {}
+            spatial_ok_cache: Dict[int, bool] = {}
 
             def spatial_ok(n_groups: int, _f=feasible) -> bool:
-                if n_groups not in self._spatial_ok_cache:
-                    self._spatial_ok_cache[n_groups] = _f(n_groups)
-                return self._spatial_ok_cache[n_groups]
+                if n_groups not in spatial_ok_cache:
+                    spatial_ok_cache[n_groups] = _f(n_groups)
+                return spatial_ok_cache[n_groups]
 
             self._spatial_ok = spatial_ok
             self._plan_scale = self.predictor.scale or 1.0
@@ -564,6 +565,10 @@ class TextureService:
             return
         self._closed = True
         self.scheduler.close()
+        # Release the memory tier now: a reference cycle the caller still
+        # holds (or the GC has yet to find) must not pin up to
+        # memory_budget_bytes of textures.
+        self.cache.memory.clear()
         with self._replan_lock:
             renderer = self.renderer
             retired = self._retired_renderers

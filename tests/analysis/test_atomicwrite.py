@@ -23,3 +23,11 @@ class TestDirectWrites:
         # not a durable-artifact module: only the lifecycle rule fires.
         report = analyse("parallel/segleak.py")
         assert not any(f.rule == "atomic-write" for f in report.findings)
+
+    def test_native_kernel_loader_is_durable(self):
+        # It builds into a per-user cache that concurrent processes share.
+        from tools.analysis.checkers.atomicwrite import AtomicWriteChecker
+
+        checker = AtomicWriteChecker()
+        assert checker.applies_to("repro.raster._native")
+        assert not checker.applies_to("repro.raster.splat")

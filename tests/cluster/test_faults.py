@@ -10,6 +10,7 @@ is.
 
 from __future__ import annotations
 
+import itertools
 import socket
 import threading
 
@@ -28,12 +29,22 @@ def test_kill_mid_scrub_rebalances_to_survivors(make_fleet, make_single_node):
     split = len(trace) // 2
     for i, frame in enumerate(trace[:split]):
         fleet.request(i % 3, frame)
+    # A frame node-1 owns before the kill (from the trace when it has
+    # one): every survivor requests it afterwards, so each one meets the
+    # dead owner itself, wherever the ring happens to place the trace.
+    node0 = fleet.nodes[0]
+    orphan = next(
+        frame
+        for frame in itertools.chain(sorted(set(trace)), itertools.count(max(trace) + 1))
+        if node0.ring.owner(node0.service.render_digest(frame)) == "node-1"
+    )
     fleet.kill(1)
     survivors = fleet.live_indices()
     responses = [
         (frame, fleet.request(survivors[i % len(survivors)], frame))
         for i, frame in enumerate(trace[split:])
     ]
+    responses += [(orphan, fleet.request(i, orphan)) for i in survivors]
     single = make_single_node()
     for frame, texture in responses:
         assert np.array_equal(single.request(frame).texture, texture)
@@ -42,7 +53,7 @@ def test_kill_mid_scrub_rebalances_to_survivors(make_fleet, make_single_node):
         assert "node-1" not in fleet.nodes[i].ring.nodes()
     # Reconvergence cost is bounded: at worst the dead node's share of
     # the distinct frames renders again, never the whole trace.
-    assert fleet.total_renders() <= 2 * len(set(trace))
+    assert fleet.total_renders() <= 2 * len(set(trace) | {orphan})
 
 
 def test_restart_rejoins_with_disk_cache_intact(make_fleet):

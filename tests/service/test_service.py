@@ -6,6 +6,9 @@ backends served a request, the texture equals a fresh render of the same
 ``(config, field)``.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -242,6 +245,27 @@ class TestLifecycle:
         assert isinstance(response, TextureResponse)
         assert response.key.frame == 0
         assert response.latency_s > 0.0
+
+    @pytest.mark.parametrize("backend", ["serial", "auto"])
+    def test_closed_service_is_freed_without_a_full_gc(self, fields, backend):
+        """No reference cycle may pin a closed service (and its memory
+        tier, up to memory_budget_bytes) until a rare full collection."""
+        cfg = SpotNoiseConfig(n_spots=200, texture_size=48, seed=11, backend=backend)
+        gc.collect()
+        gc.disable()
+        try:
+            svc = make_service(fields, cfg)
+            svc.request(0)
+            svc.request(1)
+            memory = svc.cache.memory
+            assert memory.nbytes > 0
+            svc.close()
+            ref = weakref.ref(svc)
+            del svc
+            assert ref() is None
+            assert memory.nbytes == 0
+        finally:
+            gc.enable()
 
 
 class TestInRepoClients:

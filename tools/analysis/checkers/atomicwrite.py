@@ -48,6 +48,9 @@ DURABLE_MODULES = (
     # blob store; any direct path write in it would break the same
     # no-partial-reads promise.
     "repro.cluster.*",
+    # The native kernel loader builds into a per-user cache directory
+    # that concurrent processes may build into at the same time.
+    "repro.raster._native",
 )
 
 #: The implementation of the idiom is exempt from itself.
